@@ -15,15 +15,17 @@
 //!    payload cap parsed out of `serve/src/proto.rs` and diffed against
 //!    the DESIGN.md §6 wire-format tables.
 //! 3. [`panics`] — no `unwrap()` / `expect()` / `panic!` in non-test
-//!    code of the serve hot-path files, modulo an explicit
+//!    code of the serve hot-path files, the lease ledger and its gate
+//!    and shard adapters, modulo an explicit
 //!    `// rck-lint: allow(panic)` marker.
 //! 4. [`locks`] — no mutex guard held across I/O or channel calls, and
 //!    a consistent lock acquisition order across files.
-//! 5. [`model`] — an exhaustive model check of the master's batch
-//!    lifecycle (dispatch / heartbeat / timeout / requeue / abort)
-//!    against a transition table extracted from `master.rs`, asserting
-//!    `dispatched == completed + duplicates + requeued + in-flight`
-//!    and the absence of stuck states.
+//! 5. [`model`] — an exhaustive model check of the batch lifecycle
+//!    (dispatch / heartbeat / timeout / requeue / abort) against a
+//!    transition table extracted from the lease ledger `lease.rs`,
+//!    asserting `dispatched == completed + duplicates + requeued +
+//!    in-flight` and the absence of stuck states; each dispatch tier
+//!    must settle answers through the ledger.
 //!
 //! The crate is dependency-free on purpose: it must build and run even
 //! when the rest of the workspace doesn't compile, and the container is

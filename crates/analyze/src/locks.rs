@@ -24,6 +24,10 @@ pub const LOCK_FILES: &[&str] = &[
     "crates/serve/src/chaos.rs",
     "crates/serve/src/worker.rs",
     "crates/serve/src/transport.rs",
+    "crates/serve/src/lease.rs",
+    "crates/gate/src/lib.rs",
+    "crates/gate/src/pool.rs",
+    "crates/shard/src/frontend.rs",
 ];
 
 /// Marker accepted at an I/O call under a guard.

@@ -16,42 +16,59 @@
 //!   (empty queue, nothing in flight, jobs missing).
 //!
 //! The model's transition table is not hard-coded: each transition is
-//! tied to an *anchor* in `crates/serve/src/master.rs` (the function or
-//! stats hook that implements it). A missing anchor is a finding in
-//! itself, *and* disables that behavior in the model, so the checker
-//! reproduces the bug the drift would cause — delete the requeue
-//! accounting and the model exhibits a stuck, unaccounted state.
+//! tied to an *anchor* in the lease ledger `crates/serve/src/lease.rs`
+//! (the code that implements it), and abort to the master's `aborted`
+//! flag. A missing anchor is a finding in itself, *and* disables that
+//! behavior in the model, so the checker reproduces the bug the drift
+//! would cause — delete the requeue accounting and the model exhibits a
+//! stuck, unaccounted state.
+//!
+//! The ledger is the only copy of that lifecycle, so the pass also holds
+//! each dispatch tier to it: every adapter in [`ADAPTERS`] must settle
+//! answers through `leases.accept(..)` and must not call
+//! `answers_exactly` itself. A tier that regrows a private copy is a
+//! finding.
 
-use crate::lexer::{self, TokKind};
+use crate::lexer::{self, Tok, TokKind};
 use crate::{Finding, Pass, Workspace};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Source file the transition table is extracted from.
+pub const LEASE_RS: &str = "crates/serve/src/lease.rs";
+
+/// The batch master: the tier whose abort the model covers.
 pub const MASTER_RS: &str = "crates/serve/src/master.rs";
 
-/// Behavioral flags, each witnessed by an anchor in `master.rs`.
+/// The dispatch tiers built on the ledger.
+pub const ADAPTERS: &[&str] = &[
+    MASTER_RS,
+    "crates/gate/src/pool.rs",
+    "crates/shard/src/frontend.rs",
+];
+
+/// Behavioral flags, each witnessed by an anchor in `lease.rs` (abort:
+/// in `master.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransitionTable {
-    /// Dispatch increments the dispatched counter
-    /// (anchor: `on_batch_dispatched` inside `next_batch`'s caller).
+    /// Granting counts the jobs handed out (anchor: `.dispatched +=`).
     pub dispatch_counts_jobs: bool,
-    /// Results for retired batch ids are dropped, not accepted
-    /// (anchor: `on_stale_result`).
+    /// Answers to retired leases are dropped, not accepted
+    /// (anchor: `Verdict::Stale`).
     pub accept_requires_inflight: bool,
     /// Accepted pairs are deduplicated against the done set
-    /// (anchors: `done.insert`, `on_duplicate_results`).
+    /// (anchors: `is_new(`, `.duplicates +=`).
     pub dedup_on_accept: bool,
-    /// A timed-out batch goes back on the queue and is counted
-    /// (anchors: `requeue_worker`, `on_batch_requeued`).
+    /// An overdue or lost lease is handed back and counted
+    /// (anchors: `expire`, `lose`, `.requeued +=`).
     pub timeout_requeues: bool,
-    /// Heartbeats refresh the deadline (anchor: `refresh_deadlines`).
+    /// Heartbeats refresh the deadline (anchor: `refresh`).
     pub heartbeat_refreshes: bool,
     /// No new batches are dispatched after abort (anchor: `aborted`).
     pub abort_stops_dispatch: bool,
 }
 
 impl TransitionTable {
-    /// The table the shipped master is supposed to implement.
+    /// The table the shipped ledger is supposed to implement.
     pub fn correct() -> TransitionTable {
         TransitionTable {
             dispatch_counts_jobs: true,
@@ -73,51 +90,88 @@ pub struct ModelStats {
     pub transitions: usize,
 }
 
-/// Run the pass: extract the table from `master.rs`, then model-check.
+/// Run the pass: extract the table from `lease.rs` and `master.rs`,
+/// model-check it, and hold every adapter to the ledger.
 pub fn check(ws: &Workspace) -> (Vec<Finding>, Option<ModelStats>) {
-    let Some(src) = ws.read(MASTER_RS) else {
+    let (Some(lease), Some(master)) = (ws.read(LEASE_RS), ws.read(MASTER_RS)) else {
         return (
             vec![Finding::at(
                 Pass::Model,
-                MASTER_RS,
+                LEASE_RS,
                 0,
-                "master source missing — cannot extract the transition table".to_string(),
+                "ledger or master source missing — cannot extract the transition table".to_string(),
             )],
             None,
         );
     };
-    let (table, mut findings) = extract_table(&src);
+    let (table, mut findings) = extract_table(&lease, &master);
+    for file in ADAPTERS {
+        findings.extend(check_adapter(ws.read(file).as_deref().unwrap_or(""), file));
+    }
     let (violations, stats) = explore(table);
     findings.extend(violations);
     findings.sort();
     (findings, Some(stats))
 }
 
-/// Extract the transition table from `master.rs` source. Every absent
-/// anchor produces a finding and clears its flag.
-pub fn extract_table(src: &str) -> (TransitionTable, Vec<Finding>) {
-    let lexed = lexer::lex(src);
-    let idents: BTreeSet<&str> = lexed
-        .toks
+/// Whether the non-test tokens contain `shape` as consecutive texts.
+fn has_shape(toks: &[Tok], shape: &[&str]) -> bool {
+    toks.windows(shape.len())
+        .any(|w| w.iter().zip(shape).all(|(t, s)| !t.in_test && t.text == *s))
+}
+
+/// Whether the non-test tokens bump counter `field` (`.field +=`).
+fn bumps(toks: &[Tok], field: &str) -> bool {
+    has_shape(toks, &[".", field, "+", "="])
+}
+
+/// Hold one dispatch tier to the ledger: it settles answers through
+/// `leases.accept(..)` and keeps no `answers_exactly` check of its own.
+pub fn check_adapter(src: &str, file: &str) -> Vec<Finding> {
+    let toks = lexer::lex(src).toks;
+    let mut findings = Vec::new();
+    if !has_shape(&toks, &["leases", ".", "accept", "("]) {
+        findings.push(Finding::at(
+            Pass::Model,
+            file,
+            0,
+            "adapter anchor missing: `leases.accept(` — this tier no longer settles answers \
+             through the LeaseTable"
+                .to_string(),
+        ));
+    }
+    for t in toks
+        .iter()
+        .filter(|t| !t.in_test && t.text == "answers_exactly")
+    {
+        findings.push(Finding::at(
+            Pass::Model,
+            file,
+            t.line,
+            "private `answers_exactly` check in an adapter — acceptance belongs to the LeaseTable"
+                .to_string(),
+        ));
+    }
+    findings
+}
+
+/// Extract the transition table from the ledger (`lease`) and master
+/// sources. Every absent anchor produces a finding and clears its flag.
+pub fn extract_table(lease: &str, master: &str) -> (TransitionTable, Vec<Finding>) {
+    let toks = lexer::lex(lease).toks;
+    let idents: BTreeSet<&str> = toks
         .iter()
         .filter(|t| t.kind == TokKind::Ident && !t.in_test)
         .map(|t| t.text.as_str())
         .collect();
-    // `done.insert(...)` — the dedup site — needs the exact call shape.
-    let has_done_insert = lexed.toks.windows(4).any(|w| {
-        !w[0].in_test
-            && w[0].text == "done"
-            && w[1].text == "."
-            && w[2].text == "insert"
-            && w[3].text == "("
-    });
+    let master_toks = lexer::lex(master).toks;
 
     let mut findings = Vec::new();
-    let mut missing = |anchors: &[&str], why: &str, present: bool| -> bool {
+    let mut missing = |file: &str, anchors: &[&str], why: &str, present: bool| -> bool {
         if !present {
             findings.push(Finding::at(
                 Pass::Model,
-                MASTER_RS,
+                file,
                 0,
                 format!(
                     "transition-table anchor missing: {} — {}",
@@ -135,34 +189,42 @@ pub fn extract_table(src: &str) -> (TransitionTable, Vec<Finding>) {
 
     let table = TransitionTable {
         dispatch_counts_jobs: missing(
-            &["on_batch_dispatched"],
-            "dispatched jobs would go uncounted",
-            idents.contains("on_batch_dispatched"),
+            LEASE_RS,
+            &[".dispatched +="],
+            "granted jobs would go uncounted",
+            bumps(&toks, "dispatched"),
         ),
         accept_requires_inflight: missing(
-            &["on_stale_result"],
-            "late results for retired batch ids would be accepted twice",
-            idents.contains("on_stale_result"),
+            LEASE_RS,
+            &["Verdict::Stale"],
+            "late results for retired leases would be accepted twice",
+            has_shape(&toks, &["Verdict", ":", ":", "Stale"]),
         ),
         dedup_on_accept: missing(
-            &["done.insert", "on_duplicate_results"],
+            LEASE_RS,
+            &["is_new(", ".duplicates +="],
             "replayed pairs would be double-counted as completed",
-            has_done_insert && idents.contains("on_duplicate_results"),
+            has_shape(&toks, &["is_new", "("]) && bumps(&toks, "duplicates"),
         ),
         timeout_requeues: missing(
-            &["requeue_worker", "on_batch_requeued"],
+            LEASE_RS,
+            &["expire", "lose", ".requeued +="],
             "a dead worker's batches would be lost and the run would hang",
-            idents.contains("requeue_worker") && idents.contains("on_batch_requeued"),
+            idents.contains("expire") && idents.contains("lose") && bumps(&toks, "requeued"),
         ),
         heartbeat_refreshes: missing(
-            &["refresh_deadlines"],
+            LEASE_RS,
+            &["refresh"],
             "heartbeats would not keep a slow worker's batch alive",
-            idents.contains("refresh_deadlines"),
+            idents.contains("refresh"),
         ),
         abort_stops_dispatch: missing(
+            MASTER_RS,
             &["aborted"],
             "abort would not stop the dispatcher",
-            idents.contains("aborted"),
+            master_toks
+                .iter()
+                .any(|t| !t.in_test && t.kind == TokKind::Ident && t.text == "aborted"),
         ),
     };
     (table, findings)
@@ -408,7 +470,7 @@ fn summarize(violations: Vec<String>) -> Vec<Finding> {
         let n = counts.entry(class.clone()).or_insert(0);
         *n += 1;
         if *n <= MAX_REPORTS {
-            findings.push(Finding::at(Pass::Model, MASTER_RS, 0, v));
+            findings.push(Finding::at(Pass::Model, LEASE_RS, 0, v));
         } else {
             *extra.entry(class).or_insert(0) += 1;
         }
@@ -416,7 +478,7 @@ fn summarize(violations: Vec<String>) -> Vec<Finding> {
     for (class, n) in extra {
         findings.push(Finding::at(
             Pass::Model,
-            MASTER_RS,
+            LEASE_RS,
             0,
             format!("... and {n} more `{class}` model violations"),
         ));
@@ -484,18 +546,34 @@ mod tests {
 
     #[test]
     fn anchor_extraction_drives_the_table() {
-        let good = "fn a() { stats.on_batch_dispatched(n); stats.on_stale_result(); \
-                    work.done.insert(k); stats.on_duplicate_results(d); \
-                    self.requeue_worker(id, s); stats.on_batch_requeued(n); \
-                    refresh_deadlines(shared, id); let x = aborted; }";
-        let (table, findings) = extract_table(good);
+        let good = "fn a() { self.counts.dispatched += n; return Verdict::Stale; \
+                    let f = is_new(t, o); self.counts.duplicates += d; \
+                    fn expire() {} fn lose() {} self.counts.requeued += n; \
+                    fn refresh() {} }";
+        let master = "fn run() { let x = aborted; }";
+        let (table, findings) = extract_table(good, master);
         assert_eq!(table, TransitionTable::correct());
         assert_eq!(findings, vec![]);
 
-        let bad = good.replace("stats.on_batch_requeued(n);", "");
-        let (table, findings) = extract_table(&bad);
+        let bad = good.replace("self.counts.requeued += n;", "");
+        let (table, findings) = extract_table(&bad, master);
         assert!(!table.timeout_requeues);
         assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("on_batch_requeued"));
+        assert!(findings[0].message.contains(".requeued +="));
+
+        let (table, findings) = extract_table(good, "fn run() {}");
+        assert!(!table.abort_stops_dispatch);
+        assert_eq!(findings[0].file, MASTER_RS);
+    }
+
+    #[test]
+    fn an_adapter_that_regrows_a_private_copy_is_a_finding() {
+        let ported = "fn a() { match state.leases.accept(id, o, f, now) {} }";
+        assert_eq!(check_adapter(ported, "x.rs"), vec![]);
+        let private = "fn a() { if !answers_exactly(&jobs, &o) {} }";
+        let findings = check_adapter(private, "x.rs");
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings[0].message.contains("leases.accept("));
+        assert!(findings[1].message.contains("private `answers_exactly`"));
     }
 }

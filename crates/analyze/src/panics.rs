@@ -1,6 +1,7 @@
 //! Pass 3: panic paths in the serve hot-path files.
 //!
-//! The master/worker/transport/proto files run inside service threads;
+//! The master/worker/transport/proto files, the lease ledger and its gate
+//! and shard adapters run inside service threads;
 //! a panic there kills a connection (or poisons a lock) instead of
 //! surfacing a `ServeError`. This pass denies `unwrap()` / `expect()` /
 //! `panic!` in their non-test code. Genuinely infallible uses carry a
@@ -16,6 +17,10 @@ pub const DENY_FILES: &[&str] = &[
     "crates/serve/src/worker.rs",
     "crates/serve/src/transport.rs",
     "crates/serve/src/proto.rs",
+    "crates/serve/src/lease.rs",
+    "crates/gate/src/lib.rs",
+    "crates/gate/src/pool.rs",
+    "crates/shard/src/frontend.rs",
 ];
 
 /// Marker name accepted by the escape hatch.

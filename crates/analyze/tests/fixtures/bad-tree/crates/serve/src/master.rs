@@ -1,7 +1,7 @@
 // Fixture: panic paths, a guard held across I/O, a lock order that
-// worker.rs reverses, a badly named + undocumented metric, and a
-// transition table missing its requeue anchors (no `requeue_worker`,
-// no `on_batch_requeued`) so the model checker exhibits stuck states.
+// worker.rs reverses, a badly named + undocumented metric, and an
+// adapter that checks answers itself instead of through the lease
+// ledger (no `leases.accept(`).
 
 fn register(reg: &Registry) {
     let c = reg.counter("rck_bad_counter", "counter without the _total suffix");
@@ -16,10 +16,9 @@ fn dispatch(&self) {
 }
 
 fn accept(&self) {
-    stats.on_stale_result();
-    work.done.insert(0);
-    stats.on_duplicate_results(1);
-    refresh_deadlines(&shared, 0);
+    if !answers_exactly(&batch.jobs, &outcomes) {
+        stats.on_mismatched_result();
+    }
     let aborted = false;
 }
 

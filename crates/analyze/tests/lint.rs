@@ -41,10 +41,15 @@ fn bad_tree_findings_are_the_seeded_ones() {
     assert!(has("`.unwrap()`"));
     assert!(has("held across `write_all()`"));
     assert!(has("inconsistent lock order"));
-    // model: missing requeue anchors disable the transition and the
-    // checker exhibits the resulting stuck state
-    assert!(has("transition-table anchor missing"));
+    // model: the ledger's missing requeue anchor disables the
+    // transition and the checker exhibits the resulting stuck state; an
+    // adapter checking answers itself is a finding
+    assert!(has(
+        "transition-table anchor missing: `expire` / `lose` / `.requeued +=`"
+    ));
     assert!(has("stuck state"));
+    assert!(has("adapter anchor missing: `leases.accept(`"));
+    assert!(has("private `answers_exactly` check"));
 }
 
 #[test]

@@ -29,8 +29,9 @@
 //! * **coalescing** — a submission whose (query, methods) fingerprint
 //!   matches an already-running query attaches to it as an extra
 //!   subscriber: one computation, every subscriber streamed;
-//! * **exactness under faults** — the pool reuses the master's requeue /
-//!   [`rck_serve::proto::answers_exactly`] / dedup guards, so the
+//! * **exactness under faults** — the pool keeps its in-flight work in
+//!   the master's [`rck_serve::lease::LeaseTable`] (requeue /
+//!   exact-answer / dedup guards), so the
 //!   ranking a client reassembles is bit-identical to an in-process
 //!   [`rckalign::onevsall`] run even across worker crashes; a faulted
 //!   *client* connection only unsubscribes itself — other tenants'
@@ -72,6 +73,7 @@ pub use fanout::FanoutClient;
 pub use stats::{GateSnapshot, GateStats};
 
 use rck_pdb::model::CaChain;
+use rck_serve::lease::LeaseTable;
 use rck_serve::proto::{fnv1a64, Frame, QueryDone, QueryPartial, QueryReject, QuerySubmit};
 use rck_serve::transport::{Conn, Listener, TcpChannelListener};
 use rck_serve::MutexExt;
@@ -157,15 +159,6 @@ pub(crate) struct QueryRun {
     pub(crate) first_result_seen: bool,
 }
 
-/// One batch currently out on a pool worker.
-pub(crate) struct InflightBatch {
-    pub(crate) run_id: u64,
-    pub(crate) jobs: Vec<PairJob>,
-    pub(crate) worker_id: u32,
-    pub(crate) deadline: Instant,
-    pub(crate) dispatched_at: Instant,
-}
-
 /// The mutable gate state (guarded by the `Mutex` in [`GateShared`]).
 pub(crate) struct GateState {
     pub(crate) runs: HashMap<u64, QueryRun>,
@@ -175,13 +168,12 @@ pub(crate) struct GateState {
     pub(crate) sched: StrideSched,
     /// Query fingerprint → running query, for coalescing duplicates.
     pub(crate) coalesce: HashMap<u64, u64>,
-    pub(crate) inflight: HashMap<u64, InflightBatch>,
+    /// Batches out on pool workers, each tagged with its run id.
+    pub(crate) leases: LeaseTable<u64>,
     /// Write-half clones of pool-worker connections, for teardown.
     pub(crate) worker_streams: HashMap<u32, Box<dyn Conn>>,
-    /// Write-half clones of client connections, for teardown.
-    pub(crate) session_streams: HashMap<u32, Box<dyn Conn>>,
-    pub(crate) last_signal: HashMap<u32, Instant>,
-    pub(crate) next_batch_id: u64,
+    /// Write-half clone and outbox of each client session, for teardown.
+    pub(crate) session_streams: HashMap<u32, (Box<dyn Conn>, Arc<Outbox>)>,
     pub(crate) next_run_id: u64,
 }
 
@@ -207,7 +199,7 @@ pub(crate) struct GateShared {
 impl GateShared {
     /// Whether the gate has nothing left to answer and may stop.
     pub(crate) fn drained(&self, state: &GateState) -> bool {
-        self.draining.load(Ordering::SeqCst) && state.runs.is_empty() && state.inflight.is_empty()
+        self.draining.load(Ordering::SeqCst) && state.runs.is_empty() && state.leases.is_empty()
     }
 }
 
@@ -243,7 +235,7 @@ impl GateHandle {
         for conn in state.worker_streams.values() {
             conn.shutdown();
         }
-        for conn in state.session_streams.values() {
+        for (conn, _) in state.session_streams.values() {
             conn.shutdown();
         }
         drop(state);
@@ -289,11 +281,9 @@ impl Gate {
                     tenant_runs: HashMap::new(),
                     sched: StrideSched::new(),
                     coalesce: HashMap::new(),
-                    inflight: HashMap::new(),
+                    leases: LeaseTable::new(Some(cfg.heartbeat_timeout), cfg.batch_timeout),
                     worker_streams: HashMap::new(),
                     session_streams: HashMap::new(),
-                    last_signal: HashMap::new(),
-                    next_batch_id: 0,
                     next_run_id: 0,
                 }),
                 work_available: Condvar::new(),
@@ -327,6 +317,7 @@ impl Gate {
     pub fn worker_addr(&self) -> SocketAddr {
         self.worker_listener
             .local_addr()
+            // rck-lint: allow(panic) — documented panic: only the in-memory transport lacks an address
             .expect("worker transport has no socket address")
     }
 
@@ -337,6 +328,7 @@ impl Gate {
     pub fn client_addr(&self) -> SocketAddr {
         self.client_listener
             .local_addr()
+            // rck-lint: allow(panic) — documented panic: only the in-memory transport lacks an address
             .expect("client transport has no socket address")
     }
 
@@ -391,13 +383,16 @@ impl Gate {
             }
         }
         // Wind down: workers see the stop flag and get an orderly
-        // Shutdown from their handlers; idle client sessions are parked
-        // in a read, so close their connections to release them.
+        // Shutdown from their handlers. Client sessions are parked in a
+        // read: closing a session's outbox lets its writer flush what is
+        // queued (a drained run's last QueryDone) and then close the
+        // connection, which releases the reader. Closing the connection
+        // here instead could cut that QueryDone off.
         self.shared.stopped.store(true, Ordering::SeqCst);
         {
             let state = self.shared.state.lock_recover();
-            for conn in state.session_streams.values() {
-                conn.shutdown();
+            for (_, outbox) in state.session_streams.values() {
+                outbox.close();
             }
             for conn in state.worker_streams.values() {
                 conn.shutdown();
@@ -882,6 +877,23 @@ mod tests {
         };
         assert_eq!(p.outcomes.len(), stored.len());
         assert_eq!(p.total as usize, jobs.len());
+    }
+
+    #[test]
+    fn stop_returns_without_waiting_out_a_monitor_tick() {
+        // A 10 s heartbeat window makes the monitor tick 2.5 s.
+        let (gate, _shared) = memnet_gate(GateConfig {
+            heartbeat_timeout: Duration::from_secs(10),
+            ..GateConfig::default()
+        });
+        let handle = gate.handle();
+        let t = std::thread::spawn(move || gate.run());
+        std::thread::sleep(Duration::from_millis(50));
+        let stopped = Instant::now();
+        handle.stop();
+        t.join().expect("gate run");
+        let took = stopped.elapsed();
+        assert!(took < Duration::from_secs(1), "run returned after {took:?}");
     }
 
     #[test]

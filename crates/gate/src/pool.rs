@@ -5,11 +5,11 @@
 //! self-contained [`rck_serve::proto::JobBatch`]s and answer with
 //! [`rck_serve::proto::ResultBatch`]s, never knowing whether a batch
 //! came from an offline all-vs-all master or from a query run. The
-//! gate-side handler mirrors the master's fault machinery — connection
-//! loss and heartbeat-deadline requeue, [`answers_exactly`] acceptance,
-//! per-pair dedup — because the serving tier inherits the same promise:
-//! the outcomes that reach a ranking are bit-identical to an in-process
-//! run, no matter how many workers die.
+//! gate-side handler keeps its in-flight batches in the master's
+//! [`rck_serve::lease::LeaseTable`] — connection-loss and heartbeat-deadline requeue,
+//! exact-answer acceptance, per-pair dedup — because the serving tier
+//! inherits the same promise: the outcomes that reach a ranking are
+//! bit-identical to an in-process run, no matter how many workers die.
 //!
 //! The one scheduling difference from the master: the next batch is not
 //! `queue.pop_front()` but a two-step pick — the stride scheduler
@@ -17,13 +17,13 @@
 //! round-robined — which is what makes the farm's capacity weighted-fair
 //! under multi-tenant contention.
 
-use crate::{build_query_batch, GateShared, InflightBatch};
-use rck_serve::proto::{
-    self, answers_exactly, Frame, Hello, ResultBatch, Welcome, PROTOCOL_VERSION,
-};
+use crate::{build_query_batch, GateShared, GateState};
+use rck_serve::lease::{Lease, Verdict};
+use rck_serve::proto::{self, Frame, ResultBatch, Welcome};
 use rck_serve::transport::Conn;
 use rck_serve::MutexExt;
 use rckalign::PairJob;
+use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 enum BatchFate {
     /// Result accepted (or counted stale) — dispatch the next batch.
     Continue,
-    /// Connection gone; inflight work already requeued.
+    /// Connection gone or worker refused: end the session.
     Lost,
 }
 
@@ -53,25 +53,35 @@ pub(crate) fn serve_pool_worker(shared: &GateShared, mut conn: Box<dyn Conn>) {
         }
     }
 
-    loop {
+    let lost = loop {
         let Some((batch_id, jobs, query_chain)) = next_query_batch(shared, worker_id) else {
             // Gate stopping or drained: orderly goodbye (best-effort).
             let _ = proto::write_frame(&mut conn, &Frame::Shutdown);
-            break;
+            break false;
         };
         let frame = Frame::JobBatch(build_query_batch(batch_id, jobs, &shared.db, &query_chain));
         if proto::write_frame(&mut conn, &frame).is_err() {
-            lose_worker(shared, worker_id);
-            break;
+            break true;
         }
-        match collect_result(shared, &mut conn, worker_id) {
-            BatchFate::Continue => {}
-            BatchFate::Lost => break,
+        if let BatchFate::Lost = collect_result(shared, &mut conn, worker_id) {
+            break true;
         }
-    }
+    };
 
     let mut state = shared.state.lock_recover();
     state.worker_streams.remove(&worker_id);
+    // A lost worker's batches go back to their runs; it counts as lost
+    // only if the deadline monitor has not requeued them first.
+    let held = if lost {
+        state.leases.lose(worker_id)
+    } else {
+        Vec::new()
+    };
+    if !held.is_empty() {
+        requeue(&mut state, shared, held);
+        shared.stats.on_worker_lost();
+        shared.work_available.notify_all();
+    }
     drop(state);
     conn.shutdown();
 }
@@ -80,25 +90,11 @@ pub(crate) fn serve_pool_worker(shared: &GateShared, mut conn: Box<dyn Conn>) {
 /// database plus the query's virtual index, so every chain index a
 /// batch can carry is in range.
 fn handshake(shared: &GateShared, conn: &mut Box<dyn Conn>) -> Option<u32> {
-    let frame = match proto::read_frame(conn) {
-        Ok((frame, _)) => frame,
-        Err(e) => {
-            if e.is_decode_error() {
-                shared.stats.on_decode_error();
-                eprintln!("[rck-gate] worker handshake decode error: {e}");
-            }
-            return None;
-        }
-    };
-    let Frame::Hello(Hello {
-        protocol_version, ..
-    }) = frame
-    else {
-        return None;
-    };
-    if protocol_version != PROTOCOL_VERSION {
-        return None;
-    }
+    let (_, name) = proto::read_hello(conn, |e| {
+        shared.stats.on_decode_error();
+        eprintln!("[rck-gate] worker handshake decode error: {e}");
+    })?;
+    name?;
     let worker_id = shared.next_worker_id.fetch_add(1, Ordering::Relaxed);
     let welcome = Frame::Welcome(Welcome {
         worker_id,
@@ -141,9 +137,9 @@ fn next_query_batch(
 }
 
 /// Pop the next pending batch of `tenant`'s least-recently-served run
-/// and move it into flight.
+/// and lease it to `worker_id`.
 fn claim_tenant_batch(
-    state: &mut crate::GateState,
+    state: &mut GateState,
     tenant: &str,
     worker_id: u32,
     shared: &GateShared,
@@ -164,23 +160,9 @@ fn claim_tenant_batch(
         break;
     }
     let (run_id, jobs, chain) = claimed?;
-    let batch_id = state.next_batch_id;
-    state.next_batch_id += 1;
-    let now = Instant::now();
-    let deadline = match shared.cfg.batch_timeout {
-        Some(cap) => now + shared.cfg.heartbeat_timeout.min(cap),
-        None => now + shared.cfg.heartbeat_timeout,
-    };
-    state.inflight.insert(
-        batch_id,
-        InflightBatch {
-            run_id,
-            jobs: jobs.clone(),
-            worker_id,
-            deadline,
-            dispatched_at: now,
-        },
-    );
+    let batch_id = state
+        .leases
+        .grant(run_id, jobs.clone(), worker_id, Instant::now());
     shared.stats.on_jobs_dispatched(tenant, jobs.len());
     Some((batch_id, jobs, chain))
 }
@@ -191,36 +173,20 @@ fn collect_result(shared: &GateShared, conn: &mut Box<dyn Conn>, worker_id: u32)
     loop {
         match proto::read_frame(conn) {
             Ok((frame, _)) => match frame {
-                Frame::Heartbeat(_) => refresh_deadlines(shared, worker_id),
-                Frame::ResultBatch(rb) => return accept_results(shared, worker_id, rb),
-                _ => {
-                    lose_worker(shared, worker_id);
-                    return BatchFate::Lost;
+                Frame::Heartbeat(_) => {
+                    let mut state = shared.state.lock_recover();
+                    state.leases.refresh(worker_id, Instant::now());
                 }
+                Frame::ResultBatch(rb) => return accept_results(shared, worker_id, rb),
+                _ => return BatchFate::Lost,
             },
             Err(e) => {
                 if e.is_decode_error() {
                     shared.stats.on_decode_error();
                     eprintln!("[rck-gate] worker {worker_id}: decode error: {e}");
                 }
-                lose_worker(shared, worker_id);
                 return BatchFate::Lost;
             }
-        }
-    }
-}
-
-fn refresh_deadlines(shared: &GateShared, worker_id: u32) {
-    let now = Instant::now();
-    let mut state = shared.state.lock_recover();
-    state.last_signal.insert(worker_id, now);
-    for batch in state.inflight.values_mut() {
-        if batch.worker_id == worker_id {
-            let extended = now + shared.cfg.heartbeat_timeout;
-            batch.deadline = match shared.cfg.batch_timeout {
-                Some(cap) => extended.min(batch.dispatched_at + cap),
-                None => extended,
-            };
         }
     }
 }
@@ -230,34 +196,53 @@ fn refresh_deadlines(shared: &GateShared, worker_id: u32) {
 /// exactly its jobs, and each `(i, j, method)` is accepted once per run.
 fn accept_results(shared: &GateShared, worker_id: u32, rb: ResultBatch) -> BatchFate {
     let mut state = shared.state.lock_recover();
-    state.last_signal.insert(worker_id, Instant::now());
-    let Some(batch) = state.inflight.remove(&rb.batch_id) else {
+    let GateState { leases, runs, .. } = &mut *state;
+    let verdict = leases.accept(
+        rb.batch_id,
+        rb.outcomes,
+        |run_id, o| {
+            runs.get(run_id)
+                .is_some_and(|run| !run.done.contains(&(o.i, o.j, o.method.code())))
+        },
+        Instant::now(),
+    );
+    let (run_id, fresh) = match verdict {
         // Requeue race: another worker already answered. Late copy is
         // worthless but harmless.
-        return BatchFate::Continue;
+        Verdict::Stale => {
+            shared.stats.on_stale_result();
+            return BatchFate::Continue;
+        }
+        Verdict::Mismatched(lease) => {
+            // Byzantine or desynced worker: requeue, refuse, disconnect.
+            requeue(&mut state, shared, vec![lease]);
+            drop(state);
+            eprintln!(
+                "[rck-gate] worker {worker_id}: result frame for batch {} does not answer its jobs",
+                rb.batch_id
+            );
+            shared.stats.on_mismatched_result();
+            shared.stats.on_worker_lost();
+            shared.work_available.notify_all();
+            return BatchFate::Lost;
+        }
+        Verdict::Accepted {
+            tag,
+            fresh,
+            duplicates,
+            ..
+        } => {
+            shared.stats.on_duplicate_results(duplicates);
+            (tag, fresh)
+        }
     };
-    if !answers_exactly(&batch.jobs, &rb.outcomes) {
-        // Byzantine or desynced worker: requeue, refuse, disconnect.
-        requeue_batch(&mut state, shared, batch);
-        drop(state);
-        eprintln!(
-            "[rck-gate] worker {worker_id}: result frame for batch {} does not answer its jobs",
-            rb.batch_id
-        );
-        shared.stats.on_worker_lost();
-        shared.work_available.notify_all();
-        return BatchFate::Lost;
-    }
-    let Some(run) = state.runs.get_mut(&batch.run_id) else {
+    let Some(run) = state.runs.get_mut(&run_id) else {
         // The run completed via a requeued copy of this same batch.
         return BatchFate::Continue;
     };
-    let mut fresh = Vec::new();
-    for o in rb.outcomes {
-        if run.done.insert((o.i, o.j, o.method.code())) {
-            run.outcomes.push(o);
-            fresh.push(o);
-        }
+    for o in &fresh {
+        run.done.insert((o.i, o.j, o.method.code()));
+        run.outcomes.push(*o);
     }
     shared.stats.on_jobs_completed(fresh.len());
     if !fresh.is_empty() {
@@ -280,7 +265,7 @@ fn accept_results(shared: &GateShared, worker_id: u32, rb: ResultBatch) -> Batch
         }
     }
     if run.done.len() == run.total_jobs {
-        complete_run(&mut state, shared, batch.run_id);
+        complete_run(&mut state, shared, run_id);
     }
     drop(state);
     shared.work_available.notify_all();
@@ -290,7 +275,7 @@ fn accept_results(shared: &GateShared, worker_id: u32, rb: ResultBatch) -> Batch
 /// Fold a finished run's outcomes into the final ranking, stream the
 /// terminal [`rck_serve::proto::QueryDone`] to every subscriber, and
 /// retire the run.
-fn complete_run(state: &mut crate::GateState, shared: &GateShared, run_id: u64) {
+fn complete_run(state: &mut GateState, shared: &GateShared, run_id: u64) {
     let Some(run) = state.runs.remove(&run_id) else {
         return;
     };
@@ -322,83 +307,55 @@ fn complete_run(state: &mut crate::GateState, shared: &GateShared, run_id: u64) 
         .on_query_completed(run.started_at.elapsed().as_secs_f64());
 }
 
-/// Put one in-flight batch back at the front of its run's queue.
-fn requeue_batch(state: &mut crate::GateState, shared: &GateShared, batch: InflightBatch) {
-    let Some(run) = state.runs.get_mut(&batch.run_id) else {
-        return;
-    };
-    shared.stats.on_jobs_requeued(batch.jobs.len());
-    run.pending.push_front(batch.jobs);
-    let tenant = run.tenant.clone();
-    state.sched.add_backlog(&tenant, 1);
-    state
-        .tenant_runs
-        .entry(tenant)
-        .or_default()
-        .push_back(batch.run_id);
-    shared.stats.set_queue_depth(state.sched.total_backlog());
-}
-
-/// Declare a worker dead: requeue every batch it held and wake waiters.
-fn lose_worker(shared: &GateShared, worker_id: u32) {
-    let requeued = {
-        let mut state = shared.state.lock_recover();
-        requeue_worker(&mut state, shared, worker_id)
-    };
-    if requeued > 0 {
-        shared.stats.on_worker_lost();
-        shared.work_available.notify_all();
-    }
-}
-
-fn requeue_worker(state: &mut crate::GateState, shared: &GateShared, worker_id: u32) -> usize {
-    let ids: Vec<u64> = state
-        .inflight
-        .iter()
-        .filter(|(_, b)| b.worker_id == worker_id)
-        .map(|(&id, _)| id)
-        .collect();
-    let mut requeued = 0;
-    for id in ids {
-        let Some(batch) = state.inflight.remove(&id) else {
+/// Put retired leases back at the front of their runs' queues.
+fn requeue(state: &mut GateState, shared: &GateShared, leases: Vec<Lease<u64>>) {
+    for lease in leases {
+        let Some(run) = state.runs.get_mut(&lease.tag) else {
             continue;
         };
-        requeued += batch.jobs.len();
-        requeue_batch(state, shared, batch);
+        shared.stats.on_jobs_requeued(lease.jobs.len());
+        run.pending.push_front(lease.jobs);
+        let tenant = run.tenant.clone();
+        state.sched.add_backlog(&tenant, 1);
+        state
+            .tenant_runs
+            .entry(tenant)
+            .or_default()
+            .push_back(lease.tag);
     }
-    requeued
+    shared.stats.set_queue_depth(state.sched.total_backlog());
 }
 
 /// Deadline monitor: requeue batches whose worker went silent, shut the
 /// worker's connection so its handler's blocking read returns, and keep
-/// going until the gate stops or drains dry.
+/// going until the gate stops or drains dry. It waits on the work
+/// condvar between ticks, so stop and drain wake it at once.
 pub(crate) fn monitor_deadlines(shared: &Arc<GateShared>) {
     let tick = (shared.cfg.heartbeat_timeout / 4).max(Duration::from_millis(5));
-    loop {
-        {
-            let mut state = shared.state.lock_recover();
-            if shared.stopped.load(Ordering::SeqCst) || shared.drained(&state) {
-                break;
-            }
-            let now = Instant::now();
-            let expired: Vec<u32> = state
-                .inflight
-                .values()
-                .filter(|b| b.deadline <= now)
-                .map(|b| b.worker_id)
-                .collect();
-            for worker_id in expired {
-                if requeue_worker(&mut state, shared, worker_id) > 0 {
-                    shared.stats.on_worker_lost();
-                }
-                if let Some(conn) = state.worker_streams.get(&worker_id) {
-                    conn.shutdown();
-                }
+    let mut state = shared.state.lock_recover();
+    while !(shared.stopped.load(Ordering::SeqCst) || shared.drained(&state)) {
+        // An overdue batch means its worker went silent: every batch it
+        // holds goes back, not just the overdue one.
+        let mut overdue = state.leases.expire(Instant::now());
+        let silent: BTreeSet<u32> = overdue.iter().map(|l| l.holder).collect();
+        for &worker_id in &silent {
+            overdue.extend(state.leases.lose(worker_id));
+            shared.stats.on_worker_lost();
+            if let Some(conn) = state.worker_streams.get(&worker_id) {
+                conn.shutdown();
             }
         }
-        shared.work_available.notify_all();
-        std::thread::sleep(tick);
+        if !overdue.is_empty() {
+            requeue(&mut state, shared, overdue);
+            shared.work_available.notify_all();
+        }
+        state = shared
+            .work_available
+            .wait_timeout(state, tick)
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .0;
     }
+    drop(state);
     shared.work_available.notify_all();
 }
 
@@ -413,7 +370,8 @@ mod tests {
     use rck_tmalign::MethodKind;
 
     /// A worker answering the wrong jobs is refused: nothing reaches the
-    /// run, the batch is requeued, the worker is lost.
+    /// run, the batch is requeued, the worker is lost. A later answer to
+    /// that retired batch — even a correct one — is counted stale.
     #[test]
     fn byzantine_results_are_requeued_not_accepted() {
         let db = tiny_profile().generate(3);
@@ -464,5 +422,29 @@ mod tests {
         assert_eq!(run.pending.len(), 1, "batch requeued");
         drop(state);
         assert_eq!(shared.stats.jobs_requeued(), jobs.len() as u64);
+        assert_eq!(shared.stats.snapshot().mismatched_results, 1);
+
+        let exact = jobs
+            .iter()
+            .map(|j| rckalign::PairOutcome {
+                i: j.i,
+                j: j.j,
+                method: j.method,
+                ..alien
+            })
+            .collect();
+        let fate = accept_results(
+            &shared,
+            1,
+            ResultBatch {
+                batch_id,
+                outcomes: exact,
+            },
+        );
+        assert!(matches!(fate, BatchFate::Continue));
+        let snap = shared.stats.snapshot();
+        assert_eq!((snap.stale_results, snap.jobs_completed), (1, 0));
+        let state = shared.state.lock_recover();
+        assert!(state.runs.values().all(|r| r.outcomes.is_empty()));
     }
 }

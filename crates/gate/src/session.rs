@@ -19,7 +19,7 @@
 //! the backlog drains).
 
 use crate::{submit_query, GateShared};
-use rck_serve::proto::{self, Frame, Hello, Welcome, PROTOCOL_VERSION};
+use rck_serve::proto::{self, Frame, Welcome};
 use rck_serve::transport::Conn;
 use rck_serve::MutexExt;
 use std::collections::VecDeque;
@@ -130,7 +130,7 @@ pub(crate) fn serve_client(shared: &GateShared, mut conn: Box<dyn Conn>) {
             .state
             .lock_recover()
             .session_streams
-            .insert(session_id, clone);
+            .insert(session_id, (clone, Arc::clone(&outbox)));
     }
 
     loop {
@@ -173,25 +173,11 @@ pub(crate) fn serve_client(shared: &GateShared, mut conn: Box<dyn Conn>) {
 /// field carries the session id; `n_chains` tells the client how large
 /// the resident database is (and therefore how long a full ranking is).
 fn handshake(shared: &GateShared, conn: &mut Box<dyn Conn>, session_id: u32) -> Option<()> {
-    let frame = match proto::read_frame(conn) {
-        Ok((frame, _)) => frame,
-        Err(e) => {
-            if e.is_decode_error() {
-                shared.stats.on_decode_error();
-                eprintln!("[rck-gate] client handshake decode error: {e}");
-            }
-            return None;
-        }
-    };
-    let Frame::Hello(Hello {
-        protocol_version, ..
-    }) = frame
-    else {
-        return None;
-    };
-    if protocol_version != PROTOCOL_VERSION {
-        return None;
-    }
+    let (_, name) = proto::read_hello(conn, |e| {
+        shared.stats.on_decode_error();
+        eprintln!("[rck-gate] client handshake decode error: {e}");
+    })?;
+    name?;
     let welcome = Frame::Welcome(Welcome {
         worker_id: session_id,
         n_chains: shared.db.len() as u32,

@@ -23,6 +23,9 @@ pub struct GateStats {
     jobs_dispatched: Arc<Counter>,
     jobs_completed: Arc<Counter>,
     jobs_requeued: Arc<Counter>,
+    stale_results: Arc<Counter>,
+    duplicate_results: Arc<Counter>,
+    mismatched_results: Arc<Counter>,
     workers_connected: Arc<Counter>,
     workers_lost: Arc<Counter>,
     sessions: Arc<Counter>,
@@ -75,6 +78,18 @@ impl GateStats {
             jobs_requeued: registry.counter(
                 "rck_gate_jobs_requeued_total",
                 "pair jobs put back on a query's queue after a worker was lost",
+            ),
+            stale_results: registry.counter(
+                "rck_gate_stale_results_total",
+                "pool result frames for batches no longer in flight",
+            ),
+            duplicate_results: registry.counter(
+                "rck_gate_duplicate_results_total",
+                "pool outcomes dropped because their pair was already accepted",
+            ),
+            mismatched_results: registry.counter(
+                "rck_gate_mismatched_results_total",
+                "pool result frames refused for not answering their batch's jobs",
             ),
             workers_connected: registry.counter(
                 "rck_gate_workers_connected_total",
@@ -173,6 +188,18 @@ impl GateStats {
         self.jobs_requeued.add(n as u64);
     }
 
+    pub(crate) fn on_stale_result(&self) {
+        self.stale_results.inc();
+    }
+
+    pub(crate) fn on_duplicate_results(&self, n: usize) {
+        self.duplicate_results.add(n as u64);
+    }
+
+    pub(crate) fn on_mismatched_result(&self) {
+        self.mismatched_results.inc();
+    }
+
     pub(crate) fn on_worker_connected(&self) {
         self.workers_connected.inc();
     }
@@ -229,6 +256,9 @@ impl GateStats {
             jobs_dispatched: self.jobs_dispatched.get(),
             jobs_completed: self.jobs_completed.get(),
             jobs_requeued: self.jobs_requeued.get(),
+            stale_results: self.stale_results.get(),
+            duplicate_results: self.duplicate_results.get(),
+            mismatched_results: self.mismatched_results.get(),
             workers_connected: self.workers_connected.get(),
             workers_lost: self.workers_lost.get(),
             sessions: self.sessions.get(),
@@ -258,6 +288,12 @@ pub struct GateSnapshot {
     pub jobs_completed: u64,
     /// Pair jobs requeued after a worker was lost.
     pub jobs_requeued: u64,
+    /// Pool result frames for batches no longer in flight.
+    pub stale_results: u64,
+    /// Pool outcomes dropped as already accepted.
+    pub duplicate_results: u64,
+    /// Pool result frames refused for answering the wrong jobs.
+    pub mismatched_results: u64,
     /// Pool workers that connected.
     pub workers_connected: u64,
     /// Pool workers declared dead.
@@ -287,6 +323,9 @@ mod tests {
         s.on_jobs_dispatched("lab-a", 7);
         s.on_jobs_completed(7);
         s.on_jobs_requeued(2);
+        s.on_stale_result();
+        s.on_duplicate_results(3);
+        s.on_mismatched_result();
         s.on_partial();
         s.on_first_result(0.01);
         s.on_query_completed(0.05);
@@ -304,6 +343,9 @@ mod tests {
         assert_eq!(snap.jobs_dispatched, 7);
         assert_eq!(snap.jobs_completed, 7);
         assert_eq!(snap.jobs_requeued, 2);
+        assert_eq!(snap.stale_results, 1);
+        assert_eq!(snap.duplicate_results, 3);
+        assert_eq!(snap.mismatched_results, 1);
         assert_eq!(snap.workers_connected, 1);
         assert_eq!(snap.workers_lost, 1);
         assert_eq!(snap.sessions, 1);

@@ -26,6 +26,8 @@
 //!   tier's QuerySubmit/QueryPartial/QueryDone/QueryReject);
 //! * [`master`] — the daemon: job generation, batch dispatch, requeue,
 //!   result assembly ([`Master`]);
+//! * [`lease`] — the sans-IO ledger of in-flight work behind the master,
+//!   the gate's pool and the shard frontend ([`lease::LeaseTable`]);
 //! * [`worker`] — the client: decode batch, run the real kernel, stream
 //!   results back ([`run_worker`]);
 //! * [`stats`] — dispatch/requeue/byte counters and a per-worker
@@ -50,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod lease;
 pub mod master;
 pub mod proto;
 pub mod signal;

@@ -25,8 +25,12 @@
 //! `(i, j)` pair is accepted only once (late duplicates are counted and
 //! dropped). The final [`SimilarityMatrix`] is therefore complete and
 //! exact no matter how many workers die mid-run.
+//!
+//! The in-flight bookkeeping behind all three is the shared
+//! [`LeaseTable`]; the master adds only its FIFO pick and its transport.
 
-use crate::proto::{self, answers_exactly, Frame, Hello, ResultBatch, Welcome, PROTOCOL_VERSION};
+use crate::lease::{Lease, LeaseTable, Verdict};
+use crate::proto::{self, Frame, ResultBatch, Welcome};
 use crate::stats::{ServeStats, StatsSnapshot};
 use crate::sync::MutexExt;
 use crate::transport::{Conn, Listener, TcpChannelListener};
@@ -34,7 +38,7 @@ use rck_pdb::model::CaChain;
 use rck_tmalign::MethodKind;
 use rckalign::loadbalance::{order_jobs, JobOrdering};
 use rckalign::{all_vs_all, batch_jobs, PairJob, PairOutcome, SimilarityMatrix, StoreBinding};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -133,18 +137,10 @@ impl ChainSet {
     }
 }
 
-/// One batch currently out on a worker.
-struct Inflight {
-    jobs: Vec<PairJob>,
-    worker_id: u32,
-    deadline: Instant,
-    dispatched_at: Instant,
-}
-
 /// The shared work-queue state (guarded by the `Mutex` in `Shared`).
 struct Work {
     queue: VecDeque<Vec<PairJob>>,
-    inflight: HashMap<u64, Inflight>,
+    leases: LeaseTable<()>,
     /// Accepted pairs, mapped to their index in `outcomes` so a
     /// duplicate tile grant is answered in O(1) per pair instead of a
     /// linear scan over everything accepted so far.
@@ -154,7 +150,6 @@ struct Work {
     /// Last liveness signal (heartbeat or result) per worker, feeding
     /// the `rck_heartbeat_gap_seconds` histogram.
     last_signal: HashMap<u32, Instant>,
-    next_batch_id: u64,
     total_pairs: usize,
     finished: bool,
     /// Feed mode only: more tiles may still arrive, so running out of
@@ -168,30 +163,34 @@ struct Work {
 }
 
 impl Work {
+    fn new(cfg: &MasterConfig, queue: VecDeque<Vec<PairJob>>, accepting: bool) -> Work {
+        Work {
+            queue,
+            leases: LeaseTable::new(Some(cfg.heartbeat_timeout), cfg.batch_timeout),
+            done: HashMap::new(),
+            outcomes: Vec::new(),
+            streams: HashMap::new(),
+            last_signal: HashMap::new(),
+            total_pairs: 0,
+            finished: false,
+            accepting,
+            tile_of: HashMap::new(),
+            tiles: HashMap::new(),
+        }
+    }
+
     fn check_finished(&mut self) {
         if !self.accepting && self.done.len() == self.total_pairs {
             self.finished = true;
         }
     }
 
-    /// Requeue every batch `worker_id` holds; returns jobs requeued.
-    fn requeue_worker(&mut self, worker_id: u32, stats: &ServeStats) -> usize {
-        let ids: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, b)| b.worker_id == worker_id)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut requeued = 0;
-        for id in ids {
-            let Some(batch) = self.inflight.remove(&id) else {
-                continue;
-            };
-            requeued += batch.jobs.len();
-            stats.on_batch_requeued(batch.jobs.len());
-            self.queue.push_front(batch.jobs);
+    /// Put retired leases back at the head of the queue.
+    fn requeue(&mut self, leases: Vec<Lease<()>>, stats: &ServeStats) {
+        for lease in leases {
+            stats.on_batch_requeued(lease.jobs.len());
+            self.queue.push_front(lease.jobs);
         }
-        requeued
     }
 }
 
@@ -282,6 +281,9 @@ impl AbortHandle {
     /// dropped mid-stream.
     pub fn drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
+        // Passing through the lock orders the flag before the deadline
+        // monitor's next check, so the wake-up below cannot be missed.
+        drop(self.shared.work.lock_recover());
         self.shared.available.notify_all();
     }
 }
@@ -402,26 +404,15 @@ impl Master {
     pub fn bind_on(listener: Box<dyn Listener>, chains: Vec<CaChain>, cfg: MasterConfig) -> Master {
         let mut jobs = all_vs_all(chains.len(), cfg.method);
         order_jobs(&mut jobs, &chains, cfg.ordering);
-        let total_pairs = jobs.len();
         let queue: VecDeque<Vec<PairJob>> = if jobs.is_empty() {
             VecDeque::new()
         } else {
             batch_jobs(&jobs, cfg.batch_size.max(1)).into()
         };
-        let work = Work {
-            queue,
-            inflight: HashMap::new(),
-            done: HashMap::new(),
-            outcomes: Vec::with_capacity(total_pairs),
-            streams: HashMap::new(),
-            last_signal: HashMap::new(),
-            next_batch_id: 0,
-            total_pairs,
-            finished: total_pairs == 0,
-            accepting: false,
-            tile_of: HashMap::new(),
-            tiles: HashMap::new(),
-        };
+        let mut work = Work::new(&cfg, queue, false);
+        work.total_pairs = jobs.len();
+        work.outcomes.reserve(jobs.len());
+        work.check_finished();
         Master {
             listener,
             shared: Arc::new(Shared {
@@ -456,20 +447,7 @@ impl Master {
         listener: Box<dyn Listener>,
         cfg: MasterConfig,
     ) -> (Master, FeedHandle, mpsc::Receiver<TileDone>) {
-        let work = Work {
-            queue: VecDeque::new(),
-            inflight: HashMap::new(),
-            done: HashMap::new(),
-            outcomes: Vec::new(),
-            streams: HashMap::new(),
-            last_signal: HashMap::new(),
-            next_batch_id: 0,
-            total_pairs: 0,
-            finished: false,
-            accepting: true,
-            tile_of: HashMap::new(),
-            tiles: HashMap::new(),
-        };
+        let work = Work::new(&cfg, VecDeque::new(), true);
         let (tile_tx, tile_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             work: Mutex::new(work),
@@ -626,42 +604,45 @@ impl Master {
 /// Deadline monitor: requeue batches whose worker went silent, and shut
 /// that worker's connection so its handler's blocking read returns. Runs
 /// until the workload is finished *and* nothing is left in flight (or
-/// the run is aborted).
+/// the run is aborted). It waits on the work condvar between ticks, so
+/// finish, drain and abort wake it at once.
 fn monitor_deadlines(shared: &Shared) {
     let tick = (shared.cfg.heartbeat_timeout / 4).max(Duration::from_millis(5));
+    let mut work = shared.work.lock_recover();
     loop {
-        {
-            let mut work = shared.work.lock_recover();
-            let settled = work.finished || shared.draining.load(Ordering::SeqCst);
-            if (settled && work.inflight.is_empty()) || shared.aborted.load(Ordering::SeqCst) {
-                break;
-            }
-            let now = Instant::now();
-            let expired: Vec<u32> = work
-                .inflight
-                .values()
-                .filter(|b| b.deadline <= now)
-                .map(|b| b.worker_id)
-                .collect();
-            for worker_id in expired {
-                if work.requeue_worker(worker_id, &shared.stats) > 0 {
-                    shared.stats.on_worker_lost(worker_id);
-                }
-                if let Some(conn) = work.streams.get(&worker_id) {
-                    conn.shutdown();
-                }
+        let settled = work.finished || shared.draining.load(Ordering::SeqCst);
+        if (settled && work.leases.is_empty()) || shared.aborted.load(Ordering::SeqCst) {
+            break;
+        }
+        // An overdue batch means its worker went silent: every batch it
+        // holds goes back, not just the overdue one.
+        let mut overdue = work.leases.expire(Instant::now());
+        let silent: BTreeSet<u32> = overdue.iter().map(|l| l.holder).collect();
+        for &worker_id in &silent {
+            overdue.extend(work.leases.lose(worker_id));
+            shared.stats.on_worker_lost(worker_id);
+            if let Some(conn) = work.streams.get(&worker_id) {
+                conn.shutdown();
             }
         }
-        shared.available.notify_all();
-        std::thread::sleep(tick);
+        if !overdue.is_empty() {
+            work.requeue(overdue, &shared.stats);
+            shared.available.notify_all();
+        }
+        work = shared
+            .available
+            .wait_timeout(work, tick)
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .0;
     }
+    drop(work);
     shared.available.notify_all();
 }
 
 enum BatchFate {
     /// Result accepted (or counted stale) — dispatch the next batch.
     Continue,
-    /// Connection gone; inflight work already requeued.
+    /// Connection gone or worker refused: end the session.
     Lost,
 }
 
@@ -687,32 +668,41 @@ fn serve_worker(shared: &Shared, mut conn: Box<dyn Conn>) {
         }
     }
 
-    loop {
+    let lost = loop {
         let Some((batch_id, jobs)) = next_batch(shared, worker_id) else {
             // Workload finished or run aborted: orderly goodbye
             // (best-effort — the connection may already be gone).
             if let Ok(n) = proto::write_frame(&mut conn, &Frame::Shutdown) {
                 shared.stats.add_tx(n);
             }
-            break;
+            break false;
         };
         let frame = Frame::JobBatch(shared.job_batch(batch_id, jobs.clone()));
         shared.stats.on_batch_dispatched(jobs.len());
         match proto::write_frame(&mut conn, &frame) {
             Ok(n) => shared.stats.add_tx(n),
-            Err(_) => {
-                lose_worker(shared, worker_id);
-                break;
-            }
+            Err(_) => break true,
         }
-        match collect_result(shared, &mut conn, worker_id) {
-            BatchFate::Continue => {}
-            BatchFate::Lost => break,
+        if let BatchFate::Lost = collect_result(shared, &mut conn, worker_id) {
+            break true;
         }
-    }
+    };
 
     let mut work = shared.work.lock_recover();
     work.streams.remove(&worker_id);
+    // A lost worker's batches go back on the queue. It counts as lost
+    // only if it still held work — the monitor may have seen the same
+    // death first, and only the first to requeue scores it.
+    let held = if lost {
+        work.leases.lose(worker_id)
+    } else {
+        Vec::new()
+    };
+    if !held.is_empty() {
+        work.requeue(held, &shared.stats);
+        shared.stats.on_worker_lost(worker_id);
+        shared.available.notify_all();
+    }
     drop(work);
     // Closing here (not just dropping our handle) guarantees the peer's
     // pending reads unblock even while other clones of this connection
@@ -722,29 +712,12 @@ fn serve_worker(shared: &Shared, mut conn: Box<dyn Conn>) {
 
 /// Exchange Hello/Welcome; returns the assigned worker id.
 fn handshake(shared: &Shared, conn: &mut Box<dyn Conn>) -> Option<u32> {
-    let frame = match proto::read_frame(conn) {
-        Ok((frame, n)) => {
-            shared.stats.add_rx(n);
-            frame
-        }
-        Err(e) => {
-            if e.is_decode_error() {
-                shared.stats.on_decode_error();
-                eprintln!("[rck-serve] handshake decode error: {e}");
-            }
-            return None;
-        }
-    };
-    let Frame::Hello(Hello {
-        protocol_version,
-        worker_name,
-    }) = frame
-    else {
-        return None;
-    };
-    if protocol_version != PROTOCOL_VERSION {
-        return None;
-    }
+    let (n, worker_name) = proto::read_hello(conn, |e| {
+        shared.stats.on_decode_error();
+        eprintln!("[rck-serve] handshake decode error: {e}");
+    })?;
+    shared.stats.add_rx(n);
+    let worker_name = worker_name?;
     let worker_id = shared.next_worker_id.fetch_add(1, Ordering::Relaxed);
     let welcome = Frame::Welcome(Welcome {
         worker_id,
@@ -782,28 +755,10 @@ fn next_batch(shared: &Shared, worker_id: u32) -> Option<(u64, Vec<PairJob>)> {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         work = guard;
     };
-    let batch_id = work.next_batch_id;
-    work.next_batch_id += 1;
-    let now = Instant::now();
-    work.inflight.insert(
-        batch_id,
-        Inflight {
-            jobs: jobs.clone(),
-            worker_id,
-            deadline: now + batch_deadline(&shared.cfg),
-            dispatched_at: now,
-        },
-    );
+    let batch_id = work
+        .leases
+        .grant((), jobs.clone(), worker_id, Instant::now());
     Some((batch_id, jobs))
-}
-
-/// The initial per-batch deadline: one heartbeat window, capped by the
-/// batch timeout when one is configured.
-fn batch_deadline(cfg: &MasterConfig) -> Duration {
-    match cfg.batch_timeout {
-        Some(cap) => cfg.heartbeat_timeout.min(cap),
-        None => cfg.heartbeat_timeout,
-    }
 }
 
 /// Read frames until the outstanding batch is answered (heartbeats
@@ -814,13 +769,10 @@ fn collect_result(shared: &Shared, conn: &mut Box<dyn Conn>, worker_id: u32) -> 
             Ok((frame, n)) => {
                 shared.stats.add_rx(n);
                 match frame {
-                    Frame::Heartbeat(_) => refresh_deadlines(shared, worker_id),
+                    Frame::Heartbeat(_) => on_heartbeat(shared, worker_id),
                     Frame::ResultBatch(rb) => return accept_results(shared, worker_id, rb),
                     // Anything else out of sequence: drop the worker.
-                    _ => {
-                        lose_worker(shared, worker_id);
-                        return BatchFate::Lost;
-                    }
+                    _ => return BatchFate::Lost,
                 }
             }
             Err(e) => {
@@ -836,29 +788,17 @@ fn collect_result(shared: &Shared, conn: &mut Box<dyn Conn>, worker_id: u32) -> 
                     shared.stats.on_decode_error();
                     eprintln!("[rck-serve] worker {worker_id}: decode error: {e}");
                 }
-                lose_worker(shared, worker_id);
                 return BatchFate::Lost;
             }
         }
     }
 }
 
-fn refresh_deadlines(shared: &Shared, worker_id: u32) {
+fn on_heartbeat(shared: &Shared, worker_id: u32) {
     let now = Instant::now();
     let mut work = shared.work.lock_recover();
     note_liveness(&mut work, shared, worker_id, now);
-    for batch in work.inflight.values_mut() {
-        if batch.worker_id == worker_id {
-            // A heartbeat proves the worker is alive, not that the batch
-            // is making progress — cap the extension so lost job/result
-            // frames cannot ride heartbeats into a permanent stall.
-            let extended = now + shared.cfg.heartbeat_timeout;
-            batch.deadline = match shared.cfg.batch_timeout {
-                Some(cap) => extended.min(batch.dispatched_at + cap),
-                None => extended,
-            };
-        }
-    }
+    work.leases.refresh(worker_id, now);
 }
 
 /// Record a liveness signal (heartbeat or accepted result) and observe
@@ -875,40 +815,46 @@ fn note_liveness(work: &mut Work, shared: &Shared, worker_id: u32, now: Instant)
 /// its outcomes answer exactly the jobs that batch dispatched, and only
 /// pairs not already done (requeue races produce late duplicates).
 fn accept_results(shared: &Shared, worker_id: u32, rb: ResultBatch) -> BatchFate {
+    let now = Instant::now();
     let mut work = shared.work.lock_recover();
-    note_liveness(&mut work, shared, worker_id, Instant::now());
-    let Some(batch) = work.inflight.remove(&rb.batch_id) else {
-        shared.stats.on_stale_result();
-        return BatchFate::Continue;
-    };
-    debug_assert_eq!(batch.worker_id, worker_id, "batch answered by stranger");
-    if !answers_exactly(&batch.jobs, &rb.outcomes) {
-        // A structurally valid frame carrying the wrong jobs: a byzantine
-        // or desynced worker. Its outcomes must never reach the matrix —
-        // requeue the batch and drop the connection.
-        shared.stats.on_mismatched_result();
-        shared.stats.on_batch_requeued(batch.jobs.len());
-        work.queue.push_front(batch.jobs);
-        drop(work);
-        eprintln!(
-            "[rck-serve] worker {worker_id}: result frame for batch {} does not answer its jobs",
-            rb.batch_id
-        );
-        shared.stats.on_worker_lost(worker_id);
-        shared.available.notify_all();
-        return BatchFate::Lost;
-    }
-    shared
-        .stats
-        .observe_batch_rtt(batch.dispatched_at.elapsed().as_secs_f64());
-    let mut fresh = 0usize;
-    let mut duplicates = 0usize;
-    let mut completed_tiles: Vec<(u32, Vec<PairOutcome>, usize)> = Vec::new();
-    for o in rb.outcomes {
-        if work.done.contains_key(&(o.i, o.j)) {
-            duplicates += 1;
-            continue;
+    note_liveness(&mut work, shared, worker_id, now);
+    let Work { leases, done, .. } = &mut *work;
+    let verdict = leases.accept(
+        rb.batch_id,
+        rb.outcomes,
+        |_, o| !done.contains_key(&(o.i, o.j)),
+        now,
+    );
+    let (fresh, duplicates, rtt) = match verdict {
+        Verdict::Stale => {
+            shared.stats.on_stale_result();
+            return BatchFate::Continue;
         }
+        Verdict::Mismatched(lease) => {
+            // A structurally valid frame carrying the wrong jobs: a
+            // byzantine or desynced worker. Its outcomes must never reach
+            // the matrix — requeue the batch and drop the connection.
+            shared.stats.on_mismatched_result();
+            work.requeue(vec![lease], &shared.stats);
+            drop(work);
+            eprintln!(
+                "[rck-serve] worker {worker_id}: result frame for batch {} does not answer its jobs",
+                rb.batch_id
+            );
+            shared.stats.on_worker_lost(worker_id);
+            shared.available.notify_all();
+            return BatchFate::Lost;
+        }
+        Verdict::Accepted {
+            fresh,
+            duplicates,
+            rtt,
+            ..
+        } => (fresh, duplicates, rtt),
+    };
+    shared.stats.observe_batch_rtt(rtt.as_secs_f64());
+    let mut completed_tiles: Vec<(u32, Vec<PairOutcome>, usize)> = Vec::new();
+    for &o in &fresh {
         let ix = work.outcomes.len();
         work.done.insert((o.i, o.j), ix);
         // Feed mode: credit the pair to its tile; a finished tile is
@@ -930,9 +876,8 @@ fn accept_results(shared: &Shared, worker_id: u32, rb: ResultBatch) -> BatchFate
             }
         }
         work.outcomes.push(o);
-        fresh += 1;
     }
-    shared.stats.on_batch_completed(worker_id, fresh);
+    shared.stats.on_batch_completed(worker_id, fresh.len());
     if duplicates > 0 {
         shared.stats.on_duplicate_results(duplicates);
     }
@@ -957,21 +902,6 @@ fn accept_results(shared: &Shared, worker_id: u32, rb: ResultBatch) -> BatchFate
         shared.available.notify_all();
     }
     BatchFate::Continue
-}
-
-/// Declare a worker dead: requeue its in-flight batches and wake anyone
-/// waiting for queue work. Counted as lost only when it actually held
-/// work — the monitor and the handler can both observe the same death,
-/// and only the first to requeue scores it.
-fn lose_worker(shared: &Shared, worker_id: u32) {
-    let requeued = {
-        let mut work = shared.work.lock_recover();
-        work.requeue_worker(worker_id, &shared.stats)
-    };
-    if requeued > 0 {
-        shared.stats.on_worker_lost(worker_id);
-        shared.available.notify_all();
-    }
 }
 
 #[cfg(test)]
@@ -1269,6 +1199,35 @@ mod tests {
         let run = t.join().unwrap().expect("empty feed finishes");
         assert!(run.outcomes.is_empty());
         assert_eq!(run.matrix.len(), 0);
+    }
+
+    #[test]
+    fn a_finished_run_returns_without_waiting_out_a_monitor_tick() {
+        use crate::transport::MemNet;
+        use crate::worker::{run_worker_conn, WorkerConfig};
+
+        // A 10 s heartbeat window makes the monitor tick 2.5 s; a monitor
+        // that slept its tick out would hold `run` that long after the
+        // last result.
+        let mut chains = tiny_profile().generate(9);
+        chains.truncate(3);
+        let cfg = MasterConfig {
+            heartbeat_timeout: Duration::from_secs(10),
+            ..MasterConfig::default()
+        };
+        let net = MemNet::new();
+        let master = Master::bind_on(net.listener(), chains, cfg);
+        let conn = net.connect().unwrap();
+        let worker = std::thread::spawn(move || {
+            let wcfg = WorkerConfig::connect_to("127.0.0.1:0".parse().unwrap());
+            run_worker_conn(conn, &wcfg)
+        });
+        let started = Instant::now();
+        let run = master.run().expect("run completes");
+        let took = started.elapsed();
+        let _ = worker.join();
+        assert_eq!(run.outcomes.len(), 3);
+        assert!(took < Duration::from_secs(1), "run returned after {took:?}");
     }
 
     #[test]

@@ -807,6 +807,37 @@ pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), FrameError> {
     ))
 }
 
+/// Read the opening frame of a server-side handshake. Returns the bytes
+/// read and, when the frame is a [`Hello`] at [`PROTOCOL_VERSION`], the
+/// peer's name; `None` on a failed read, after handing a decode error
+/// (a damaged stream, not a plain hang-up) to `on_decode_error`. Every
+/// acceptor — master, gate pool, gate session, shard frontend — shares
+/// this prefix and answers with its own `Welcome`.
+pub fn read_hello(
+    r: &mut impl Read,
+    on_decode_error: impl FnOnce(FrameError),
+) -> Option<(usize, Option<String>)> {
+    match read_frame(r) {
+        Ok((
+            Frame::Hello(Hello {
+                protocol_version,
+                worker_name,
+            }),
+            n,
+        )) => Some((
+            n,
+            (protocol_version == PROTOCOL_VERSION).then_some(worker_name),
+        )),
+        Ok((_, n)) => Some((n, None)),
+        Err(e) => {
+            if e.is_decode_error() {
+                on_decode_error(e);
+            }
+            None
+        }
+    }
+}
+
 /// Incremental frame decoder for byte streams that arrive in arbitrary
 /// chunks (a socket read rarely lands on a frame boundary).
 ///
@@ -879,8 +910,8 @@ impl FrameCodec {
 /// both result assembly (an alien `(i, j)` would corrupt or panic
 /// [`rckalign::SimilarityMatrix::from_outcomes`]) and termination (an
 /// unanswered job silently removed from flight would never complete).
-/// Shared by the batch master and the gate's worker pool, which face the
-/// same byzantine-result hazard.
+/// The lease ledger ([`crate::lease::LeaseTable::accept`]) applies it for
+/// every dispatch tier, which all face the same byzantine-result hazard.
 pub fn answers_exactly(jobs: &[PairJob], outcomes: &[PairOutcome]) -> bool {
     if jobs.len() != outcomes.len() {
         return false;

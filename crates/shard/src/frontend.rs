@@ -24,12 +24,17 @@
 //! * **tile deadline** — with [`ShardConfig::tile_timeout`] set, a
 //!   granted tile unanswered past the deadline is re-granted even while
 //!   its master's heartbeats still flow.
+//!
+//! Granted tiles live in the master's [`LeaseTable`], tagged with their
+//! tile id. The frontend's own policy is the pick (own queue, orphans,
+//! steal) and one difference in acceptance: a late answer to an expired
+//! or re-granted tile is taken, not counted stale, because every grant of
+//! a tile computes the same pure function.
 
 use crate::stats::{ShardSnapshot, ShardStats};
 use rck_pdb::model::CaChain;
-use rck_serve::proto::{
-    self, answers_exactly, Frame, Hello, TileResult, Welcome, PROTOCOL_VERSION,
-};
+use rck_serve::lease::{LeaseTable, Verdict};
+use rck_serve::proto::{self, Frame, TileResult, Welcome};
 use rck_serve::transport::TcpChannelListener;
 use rck_serve::{Conn, Listener, MutexExt};
 use rck_tmalign::MethodKind;
@@ -109,13 +114,6 @@ pub struct ShardRun {
     pub stats: ShardSnapshot,
 }
 
-/// One granted-but-unanswered tile.
-struct GrantInfo {
-    master_id: u32,
-    deadline: Option<Instant>,
-    granted_at: Instant,
-}
-
 /// One connected shard master.
 struct MasterLink {
     writer: Arc<Mutex<Box<dyn Conn>>>,
@@ -132,7 +130,8 @@ struct State {
     orphans: VecDeque<u32>,
     /// Effective job set per tile (store hits already removed).
     tile_jobs: HashMap<u32, Vec<PairJob>>,
-    granted: HashMap<u32, GrantInfo>,
+    /// Granted-but-unanswered tiles, tagged with their tile id.
+    leases: LeaseTable<u32>,
     completed: HashSet<u32>,
     /// Accepted per-tile outcome lists (plus store-hit lists), merged on
     /// read at the end of the run.
@@ -220,7 +219,7 @@ impl ShardFrontend {
             queues,
             orphans: VecDeque::new(),
             tile_jobs,
-            granted: HashMap::new(),
+            leases: LeaseTable::new(None, cfg.tile_timeout),
             completed: HashSet::new(),
             results: Vec::new(),
             pending_credits: VecDeque::new(),
@@ -398,6 +397,7 @@ impl ShardFrontend {
 /// Best-effort framed write to one master behind its writer mutex.
 fn send(writer: &Mutex<Box<dyn Conn>>, frame: &Frame) -> io::Result<()> {
     let mut w = writer.lock_recover();
+    // rck-lint: allow(lock_across_io) — the per-master writer lock exists to serialize this write
     proto::write_frame(&mut *w, frame).map(|_| ())
 }
 
@@ -450,14 +450,9 @@ fn serve_credit(shared: &Shared, master_id: u32) {
         return;
     };
     let jobs = state.tile_jobs.get(&tile_id).cloned().unwrap_or_default();
-    state.granted.insert(
-        tile_id,
-        GrantInfo {
-            master_id,
-            deadline: shared.cfg.tile_timeout.map(|t| Instant::now() + t),
-            granted_at: Instant::now(),
-        },
-    );
+    state
+        .leases
+        .grant(tile_id, jobs.clone(), master_id, Instant::now());
     drop(state);
     shared.stats.on_tile_granted(stolen);
     let grant = proto::build_tile_grant(tile_id, jobs, &shared.chains);
@@ -498,35 +493,49 @@ fn handle_result(shared: &Shared, master_id: u32, result: TileResult) {
         shared.stats.on_duplicate_tile();
         return;
     }
-    let Some(jobs) = state.tile_jobs.get(&tile_id) else {
+    let Some(jobs) = state.tile_jobs.get(&tile_id).cloned() else {
         drop(state);
         shared.stats.on_mismatched_tile();
         lose_master(shared, master_id);
         return;
     };
-    if !answers_exactly(jobs, &outcomes) {
-        // Wrong job set answered — requeue the tile and drop the sender
-        // (a master this confused cannot be trusted with more work).
-        if state.granted.remove(&tile_id).is_some() {
-            state.orphans.push_back(tile_id);
-            shared.stats.on_tiles_requeued(1);
+    // Unlike the master and the gate, the frontend takes a late answer:
+    // the tile's live lease is settled whoever holds it, and a tile with
+    // no live lease (expired, not yet re-granted) is booked to its sender
+    // so the answer still goes through the ledger's job-set check.
+    let now = Instant::now();
+    let live = state
+        .leases
+        .iter()
+        .find(|(_, l)| l.tag == tile_id)
+        .map(|(id, _)| id);
+    let lease = live.unwrap_or_else(|| state.leases.grant(tile_id, jobs, master_id, now));
+    match state.leases.accept(lease, outcomes, |_, _| true, now) {
+        Verdict::Accepted { mut fresh, rtt, .. } => {
+            state.completed.insert(tile_id);
+            fresh.sort_by_key(|o| (o.i, o.j));
+            state.results.push(fresh);
+            state.remaining -= 1;
+            shared
+                .stats
+                .on_tile_completed(master_id, live.map(|_| rtt.as_secs_f64()));
         }
-        drop(state);
-        shared.stats.on_mismatched_tile();
-        lose_master(shared, master_id);
-        serve_pending(shared);
-        return;
+        Verdict::Mismatched(_) => {
+            // Wrong job set answered — requeue the tile and drop the
+            // sender (a master this confused cannot be trusted with more
+            // work).
+            if live.is_some() {
+                state.orphans.push_back(tile_id);
+                shared.stats.on_tiles_requeued(1);
+            }
+            drop(state);
+            shared.stats.on_mismatched_tile();
+            lose_master(shared, master_id);
+            serve_pending(shared);
+            return;
+        }
+        Verdict::Stale => return,
     }
-    let rtt = state
-        .granted
-        .remove(&tile_id)
-        .map(|g| g.granted_at.elapsed().as_secs_f64());
-    state.completed.insert(tile_id);
-    let mut sorted = outcomes;
-    sorted.sort_by_key(|o| (o.i, o.j));
-    state.results.push(sorted);
-    state.remaining -= 1;
-    shared.stats.on_tile_completed(master_id, rtt);
     if state.remaining == 0 {
         state.finished = true;
         state.pending_credits.clear();
@@ -558,16 +567,8 @@ fn lose_master(shared: &Shared, master_id: u32) {
     link.alive = false;
     let slot = link.slot;
     let writer = Arc::clone(&link.writer);
-    let its: Vec<u32> = state
-        .granted
-        .iter()
-        .filter(|(_, g)| g.master_id == master_id)
-        .map(|(&t, _)| t)
-        .collect();
-    for t in &its {
-        state.granted.remove(t);
-        state.orphans.push_back(*t);
-    }
+    let its = state.leases.lose(master_id);
+    state.orphans.extend(its.iter().map(|l| l.tag));
     let drained: Vec<u32> = state.queues[slot].drain(..).collect();
     state.orphans.extend(drained);
     state.pending_credits.retain(|&m| m != master_id);
@@ -616,18 +617,10 @@ fn monitor_masters(shared: &Shared) {
         for id in silent {
             lose_master(shared, id);
         }
-        let expired: Vec<u32> = {
+        let expired = {
             let mut state = shared.state.lock_recover();
-            let expired: Vec<u32> = state
-                .granted
-                .iter()
-                .filter(|(_, g)| g.deadline.is_some_and(|d| d <= now))
-                .map(|(&t, _)| t)
-                .collect();
-            for t in &expired {
-                state.granted.remove(t);
-                state.orphans.push_back(*t);
-            }
+            let expired = state.leases.expire(now);
+            state.orphans.extend(expired.iter().map(|l| l.tag));
             expired
         };
         if !expired.is_empty() {
@@ -700,19 +693,8 @@ fn serve_master(shared: &Shared, mut conn: Box<dyn Conn>) {
 
 /// Exchange Hello/Welcome; returns the assigned master id.
 fn handshake(shared: &Shared, conn: &mut Box<dyn Conn>) -> Option<u32> {
-    let Ok((frame, _)) = proto::read_frame(conn) else {
-        return None;
-    };
-    let Frame::Hello(Hello {
-        protocol_version,
-        worker_name,
-    }) = frame
-    else {
-        return None;
-    };
-    if protocol_version != PROTOCOL_VERSION {
-        return None;
-    }
+    let (_, worker_name) = proto::read_hello(conn, |_| {})?;
+    let worker_name = worker_name?;
     let master_id = shared.next_master_id.fetch_add(1, Ordering::Relaxed);
     let slot =
         shared.next_slot.fetch_add(1, Ordering::Relaxed) as usize % shared.cfg.masters.max(1);
@@ -746,7 +728,7 @@ mod tests {
             queues: queues.into_iter().map(VecDeque::from).collect(),
             orphans: VecDeque::new(),
             tile_jobs: HashMap::new(),
-            granted: HashMap::new(),
+            leases: LeaseTable::new(None, None),
             completed: HashSet::new(),
             results: Vec::new(),
             pending_credits: VecDeque::new(),
